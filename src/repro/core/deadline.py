@@ -75,16 +75,19 @@ class DeadlinePropagator:
 
     def propagate(self, traces: _t.Sequence[Span],
                   service: str) -> PropagatedDeadline:
-        """Mean-upstream-budget propagation over a trace window.
+        """Mean-upstream-budget propagation over a trace window."""
+        values = (propagate_for_trace(root, service, self.sla)
+                  for root in traces)
+        return self.deadline(
+            service, [value for value in values if value is not None])
 
-        With no applicable traces the full SLA is returned (a service
-        with no observed upstreams keeps the whole budget).
-        """
-        thresholds = []
-        for root in traces:
-            value = propagate_for_trace(root, service, self.sla)
-            if value is not None:
-                thresholds.append(value)
+    def deadline(self, service: str,
+                 thresholds: _t.Sequence[float]) -> PropagatedDeadline:
+        """Window deadline from per-trace thresholds (``sla - upstream
+        budget`` of each trace whose critical path crossed ``service``):
+        their mean, clamped to ``[floor_fraction * sla, sla]``; the full
+        SLA without any (a service with no observed upstreams keeps the
+        whole budget)."""
         if not thresholds:
             return PropagatedDeadline(
                 service=service, sla=self.sla, upstream_budget=0.0,

@@ -13,8 +13,9 @@ state:
 2. **Deadline propagation** — per-trace upstream budgets are folded at
    ingest time into a bounded window, so the per-round threshold is a
    cheap mean even with thousands of candidate services.
-3. **SCG estimation** — the scatter-curve model over each decided
-   service's windowed ``<Q, GP>`` pairs.
+3. **Decision** — the Sora policy the embedded controller also runs
+   (:func:`repro.core.policy.decide`) over each decided service's
+   windowed ``<Q, GP>`` pairs.
 
 Every round appends a :class:`~repro.obs.events.ControlRoundRecord` to
 the decision log. ``wall_ms`` is deliberately left unset on these
@@ -33,13 +34,14 @@ JSONL byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 import time as _time
 import typing as _t
 from collections import deque
 
 import numpy as np
 
+from repro.core import policy
+from repro.core.deadline import DeadlinePropagator
 from repro.core.localization import CriticalServiceLocator
 from repro.core.scg import SCGModel
 from repro.obs import (
@@ -94,6 +96,7 @@ class ControlPlane:
             utilization_threshold=cfg.utilization_threshold,
             exclude=cfg.exclude)
         self.model = SCGModel(cfg.scatter)
+        self.propagator = DeadlinePropagator(cfg.sla, cfg.floor_fraction)
         self.analytics = CriticalPathAggregator()
         self.obs = Observability(max_records=max_records)
         self.obs.slo = SLOMonitor(SLOSpec(
@@ -109,11 +112,12 @@ class ControlPlane:
         self.latency = QuantileSketch((0.5, 0.99))
 
         self._series: dict[str, SeriesState] = {}
-        #: Per-trace ``service -> upstream self-time budget`` along the
-        #: critical path, folded at ingest so round-time propagation is
-        #: a mean over this window instead of a re-walk of every trace.
-        self._budgets: deque[dict[str, float]] = deque(
-            maxlen=cfg.trace_window)
+        #: Per-trace ``service -> upstream self-time budget`` and
+        #: ``service -> post-admission processing time`` on the critical
+        #: path, folded at ingest so a round reads its deadline and
+        #: growth evidence here instead of re-walking every trace.
+        self._budgets: deque[tuple[dict[str, float], dict[str, float]]] \
+            = deque(maxlen=cfg.trace_window)
         self.recommendations: dict[str, Recommendation] = {}
         #: Logical clock: advanced by snapshot timestamps, trace
         #: departures, and control rounds — never by the wall clock.
@@ -220,11 +224,15 @@ class ControlPlane:
             self.analytics.observe(root)
             path = extract_critical_path(root)
             budgets: dict[str, float] = {}
+            processing: dict[str, float] = {}
             upstream = 0.0
             for span in path.spans:
                 budgets[span.service] = upstream
+                processing[span.service] = (
+                    _t.cast(float, span.departure)
+                    - _t.cast(float, span.started))
                 upstream += span.self_time()
-            self._budgets.append(budgets)
+            self._budgets.append((budgets, processing))
             self.now = max(self.now, _t.cast(float, root.departure))
         self.traces_ingested += len(roots)
         if flight:
@@ -237,77 +245,56 @@ class ControlPlane:
     # Control rounds
     # ------------------------------------------------------------------
     def _threshold(self, service: str) -> float:
-        """Propagated RT threshold from the ingest-time budget window.
+        """Propagated RT threshold (:meth:`DeadlinePropagator.deadline`
+        over the window traces whose critical path crossed ``service``)."""
+        sla = self.config.sla
+        return self.propagator.deadline(service, [
+            sla - budgets[service] for budgets, _processing in self._budgets
+            if service in budgets]).threshold
 
-        Mean of ``sla - upstream_budget`` over window traces whose
-        critical path crossed ``service``, clamped to
-        ``[floor_fraction * sla, sla]``; the full SLA when no trace
-        did (a service with no observed upstreams keeps the whole
-        budget) — the same semantics as
-        :class:`~repro.core.deadline.DeadlinePropagator`.
-        """
-        cfg = self.config
-        budgets = [entry[service] for entry in self._budgets
-                   if service in entry]
-        if not budgets:
-            return cfg.sla
-        mean = cfg.sla - float(np.mean(budgets))
-        return min(cfg.sla, max(cfg.sla * cfg.floor_fraction, mean))
+    def _growth_can_help(self, service: str,
+                         threshold: float) -> bool | None:
+        """The policy's growth gate over ``service``'s post-admission
+        time on the window's critical paths (``None`` when no window
+        trace crossed it)."""
+        processing = [entry[service] for _budgets, entry in self._budgets
+                      if service in entry]
+        if not processing:
+            return None
+        return policy.p90_within(np.array(processing), threshold)
 
     def _decide(self, service: str, now: float,
                 threshold: float) -> TargetDecision:
-        """Estimate one service's optimum and record the verdict."""
+        """Run the shared policy on one service and record the verdict."""
         cfg = self.config
         state = self._series[service]
         flight = self.flight
         est_started = flight.clock() if flight else 0.0
         started = _time.perf_counter()
         concurrency, rate = state.pairs(now - cfg.window)
-        estimate = self.model.estimate(concurrency, rate,
-                                       threshold=threshold)
         previous = self.recommendations.get(service)
         before = (state.allocation if state.allocation is not None
                   else previous.allocation if previous is not None
                   else cfg.min_allocation)
-        if estimate is None:
-            decision = TargetDecision(
-                target=service, trigger="round", outcome="hold",
-                reason="no-estimate", before=before, after=before,
-                threshold=threshold, samples=len(concurrency))
-        else:
-            allocation = min(cfg.max_allocation,
-                             max(cfg.min_allocation,
-                                 estimate.optimal_concurrency))
-            knee = estimate.knee
-            knee_q = float(knee.knee_x) if knee.found else None
-            knee_rate = float(knee.knee_y) if knee.found else None
-            decision = TargetDecision(
-                target=service, trigger="round",
-                outcome=("applied" if allocation != before else "hold"),
-                reason=(estimate.method if allocation != before
-                        else "unchanged"),
-                before=before, after=allocation, threshold=threshold,
-                method=estimate.method,
-                knee_concurrency=knee_q,
-                knee_rate=knee_rate,
-                poly_degree=estimate.fit.degree,
-                samples=estimate.samples,
-                max_concurrency=float(estimate.max_concurrency),
-                fit_r2=(float(estimate.fit_r2)
-                        if np.isfinite(estimate.fit_r2) else None))
+        # Rules stand down without their evidence: a series with no
+        # scraped allocation has no pool to judge the window against,
+        # and one no ingested trace crossed has no processing times.
+        decision = policy.decide(
+            service, "round", before,
+            saturated=policy.saturated(concurrency, before,
+                                       cfg.scatter.min_samples),
+            estimate=lambda: self.model.estimate(concurrency, rate,
+                                                 threshold=threshold),
+            growth_can_help=lambda: self._growth_can_help(service,
+                                                          threshold),
+            min_allocation=cfg.min_allocation,
+            max_allocation=cfg.max_allocation,
+            threshold=threshold, in_force=state.allocation is not None)
+        if decision.reason != "no-estimate":
             self.recommendations[service] = Recommendation(
-                service=service, allocation=allocation, before=before,
-                method=estimate.method, threshold=threshold,
-                round=self.rounds + 1, time=now,
-                samples=estimate.samples,
-                max_concurrency=float(estimate.max_concurrency),
-                poly_degree=estimate.fit.degree,
-                fit_r2=(float(estimate.fit_r2)
-                        if np.isfinite(estimate.fit_r2) else None),
-                knee_concurrency=knee_q,
-                knee_rate=knee_rate)
+                decision, self.rounds + 1, now)
             self.obs.timeline.record(f"rec.{service}", now,
-                                     float(allocation))
+                                     float(decision.after))
         wall = _time.perf_counter() - started
         self._wall_total += wall
         if flight:
@@ -420,7 +407,8 @@ class ControlPlane:
 
         Captures everything the next ``tick`` reads when producing a
         decision record: per-series pair windows, the deadline budget
-        window, current recommendations (the ``before`` baseline),
+        window and its processing-time evidence (``processing``, new in
+        version 2), current recommendations (the ``before`` baseline),
         counters, the logical clock, and the critical-path aggregator
         (correlations + top-k paths + sketches). Wall-clock artifacts
         (latency sketches, the SLO monitor, the flight recorder) are
@@ -429,7 +417,7 @@ class ControlPlane:
         without them.
         """
         return {
-            "version": 1,
+            "version": 2,
             "now": self.now,
             "rounds": self.rounds,
             "snapshots_ingested": self.snapshots_ingested,
@@ -438,17 +426,21 @@ class ControlPlane:
             "pending": self._pending,
             "series": {name: state.state_dict()
                        for name, state in sorted(self._series.items())},
-            "budgets": [dict(entry) for entry in self._budgets],
+            "budgets": [dict(budgets) for budgets, _ in self._budgets],
+            "processing": [dict(processing)
+                           for _, processing in self._budgets],
             "recommendations": {
-                name: dataclasses.asdict(rec)
+                name: rec.state_dict()
                 for name, rec in sorted(self.recommendations.items())},
             "analytics": self.analytics.state_dict(),
         }
 
     def restore(self, state: dict) -> None:
-        """Inverse of :meth:`checkpoint` (call on a fresh plane)."""
+        """Inverse of :meth:`checkpoint` (call on a fresh plane). A
+        version-1 state predates the processing-time evidence and
+        restores without any."""
         version = state.get("version")
-        if version != 1:
+        if version not in (1, 2):
             raise ValueError(
                 f"unsupported checkpoint version {version!r}")
         cfg = self.config
@@ -461,13 +453,11 @@ class ControlPlane:
         self._series = {
             name: SeriesState.from_state(name, series_state)
             for name, series_state in state["series"].items()}
-        self._budgets = deque(
-            ({service: float(budget)
-              for service, budget in entry.items()}
-             for entry in state["budgets"]),
-            maxlen=cfg.trace_window)
+        processing = state.get("processing") or [{} for _ in state["budgets"]]
+        self._budgets = deque(zip(state["budgets"], processing),
+                              maxlen=cfg.trace_window)
         self.recommendations = {
-            name: Recommendation(**payload)
+            name: Recommendation.from_state(payload)
             for name, payload in state["recommendations"].items()}
         self.analytics.load_state(state["analytics"])
 

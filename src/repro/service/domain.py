@@ -11,7 +11,7 @@ and persistence concerns:
 - :class:`SeriesState` — the bounded streaming state kept per
   monitored service (windowed ``<concurrency, goodput>`` pairs plus
   the latest utilization/allocation readings);
-- :class:`Recommendation` — one SCG-backed soft-resource verdict,
+- :class:`Recommendation` — one policy-backed soft-resource verdict,
   JSON-ready for the API layer;
 - :class:`IngestError` — the typed rejection taxonomy every adapter
   raises, so the API layer can map causes onto status codes without
@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import policy
 from repro.core.scg import ScatterModelConfig
 from repro.metrics.sampler import TimeSeries
+from repro.obs.events import TargetDecision
 
 __all__ = [
     "IngestError",
@@ -152,6 +154,10 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.sla <= 0:
             raise ValueError(f"sla must be positive, got {self.sla}")
+        if not 0.0 <= self.floor_fraction < 1.0:
+            raise ValueError(
+                f"floor_fraction must be in [0, 1), got "
+                f"{self.floor_fraction}")
         if self.cadence <= 0:
             raise ValueError(
                 f"cadence must be positive, got {self.cadence}")
@@ -293,57 +299,76 @@ class SeriesState:
 
 @dataclass(frozen=True)
 class Recommendation:
-    """One soft-resource recommendation served over the JSON API.
+    """One soft-resource recommendation served over the JSON API: a
+    policy verdict and the control round that reached it.
 
-    Attributes:
-        service: the monitored service the verdict applies to.
-        allocation: recommended per-replica pool size (clamped to the
-            configured bounds).
-        before: the allocation in force when the round ran (reported
-            by the source, or the previous recommendation).
-        method: estimate provenance ("knee" or "argmax").
-        threshold: propagated RT threshold the goodput window was
-            judged against.
-        round / time: control round ordinal and logical time.
-        samples / max_concurrency / poly_degree / fit_r2 /
-        knee_concurrency / knee_rate: estimate diagnostics mirroring
-            :class:`~repro.core.scg.ConcurrencyEstimate`, for the
-            explainability report.
+    ``decision.after`` is the recommended per-replica allocation and
+    ``decision.before`` the allocation in force when round ``round``
+    ran at logical time ``time``; the decision's estimate diagnostics
+    feed the explainability report.
     """
 
-    service: str
-    allocation: int
-    before: int
-    method: str
-    threshold: float
+    decision: TargetDecision
     round: int
     time: float
-    samples: int
-    max_concurrency: float
-    poly_degree: int | None = None
-    fit_r2: float | None = None
-    knee_concurrency: float | None = None
-    knee_rate: float | None = None
+
+    @property
+    def allocation(self) -> int:
+        """The recommended per-replica allocation."""
+        return self.decision.after
+
+    @property
+    def method(self) -> str:
+        """The estimate method ("knee" / "argmax"), or the saturation
+        rule ("saturation" / "overload-shed") of a pinned window."""
+        return policy.action_method(self.decision)
+
+    @property
+    def threshold(self) -> float:
+        """Propagated RT threshold the window was judged against."""
+        return _t.cast(float, self.decision.threshold)
 
     def to_dict(self) -> dict:
         """JSON-ready recommendation body."""
+        verdict = self.decision
         payload: dict[str, _t.Any] = {
-            "service": self.service,
-            "allocation": self.allocation,
-            "before": self.before,
+            "service": verdict.target,
+            "allocation": verdict.after,
+            "before": verdict.before,
             "method": self.method,
             "threshold": round(self.threshold, 6),
             "round": self.round,
             "time": self.time,
-            "samples": self.samples,
-            "max_concurrency": round(self.max_concurrency, 3),
         }
-        if self.poly_degree is not None:
-            payload["poly_degree"] = self.poly_degree
-        if self.fit_r2 is not None and np.isfinite(self.fit_r2):
-            payload["fit_r2"] = round(self.fit_r2, 4)
-        if self.knee_concurrency is not None:
-            payload["knee_concurrency"] = round(self.knee_concurrency, 3)
-        if self.knee_rate is not None:
-            payload["knee_rate"] = round(self.knee_rate, 3)
+        if verdict.samples is not None:
+            payload["samples"] = verdict.samples
+        if verdict.max_concurrency is not None:
+            payload["max_concurrency"] = round(verdict.max_concurrency, 3)
+        if verdict.poly_degree is not None:
+            payload["poly_degree"] = verdict.poly_degree
+        if verdict.fit_r2 is not None:
+            payload["fit_r2"] = round(verdict.fit_r2, 4)
+        if verdict.knee_concurrency is not None:
+            payload["knee_concurrency"] = round(verdict.knee_concurrency, 3)
+        if verdict.knee_rate is not None:
+            payload["knee_rate"] = round(verdict.knee_rate, 3)
         return payload
+
+    def state_dict(self) -> dict:
+        """Exact state for journal checkpoint compaction."""
+        return {**self.decision.to_dict(), "round": self.round,
+                "time": self.time}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "Recommendation":
+        """Inverse of :meth:`state_dict`; also reads the flat body that
+        version-1 checkpoints stored (always an estimate verdict)."""
+        if "target" not in state:
+            applied = state["allocation"] != state["before"]
+            state = {**state, "target": state["service"],
+                     "trigger": "round",
+                     "outcome": "applied" if applied else "hold",
+                     "reason": state["method"] if applied else "unchanged",
+                     "after": state["allocation"]}
+        return cls(TargetDecision.from_dict(state), state["round"],
+                   state["time"])

@@ -271,3 +271,100 @@ def test_compacted_replay_continues_live(tmp_path):
     plane.tick(now=clock)
     twin.tick(now=clock)
     assert twin.decisions_jsonl() == plane.decisions_jsonl()
+
+
+def version1_recommendation(rec) -> dict:
+    """The flat recommendation body a version-1 checkpoint stored."""
+    verdict = rec.decision
+    return {"service": verdict.target, "allocation": verdict.after,
+            "before": verdict.before, "method": rec.method,
+            "threshold": verdict.threshold, "round": rec.round,
+            "time": rec.time,
+            **{key: getattr(verdict, key) for key in (
+                "samples", "max_concurrency", "poly_degree", "fit_r2",
+                "knee_concurrency", "knee_rate")}}
+
+
+def test_version1_checkpoint_restores_and_replays(tmp_path, capsys):
+    """A journal compacted into a version-1 checkpoint — a budget window
+    without processing-time evidence, flat recommendations — restores,
+    and replays byte-identically through ``repro service replay``. The
+    live session continues on a plane restarted from that checkpoint,
+    as a service upgraded across the format change would."""
+    from repro.cli import main
+    from repro.tracing.export import export_traces
+    from repro.tracing.span import Span
+
+    config = rotation_config()
+    live = [ControlPlane(config)]
+    converted: list[int] = []
+
+    def version1_checkpoint():
+        plane = live[0]
+        state = plane.checkpoint()
+        assert state["version"] == 2 and any(state["processing"])
+        del state["processing"]
+        state["version"] = 1
+        state["recommendations"] = {
+            name: version1_recommendation(rec)
+            for name, rec in plane.recommendations.items()}
+        converted.append(len(state["recommendations"]))
+        lines = plane.decisions_jsonl().splitlines()
+        restarted = ControlPlane(config)
+        restarted.restore(json.loads(json.dumps(state)))
+        restarted.seed_decisions(lines)
+        assert (restarted.recommendation_dicts()
+                == plane.recommendation_dicts())
+        live[0] = restarted
+        return state, lines
+
+    journal = AuditJournal(tmp_path / "journal.jsonl", segment_bytes=4096,
+                           compact=True,
+                           checkpoint_provider=version1_checkpoint)
+    for step in range(1, 81):
+        q = 1.0 + (step % 12)
+        body = render_snapshot(float(step), {"cart": 0.92}, {"cart": q},
+                               {"cart": 30.0 * q / (1.0 + q / 8.0)},
+                               {"cart": 13})
+        live[0].ingest_metrics(body)
+        journal.record("metrics", float(step), body)
+        if step % 4 == 0:
+            root = Span(trace_id=step, service="front-end",
+                        operation="request", arrival=float(step))
+            root.started = root.arrival
+            cart = Span(trace_id=step, service="cart", operation="cart",
+                        arrival=root.arrival + 0.01, parent=root)
+            cart.started = cart.arrival + 0.002
+            cart.departure = cart.started + 0.05
+            root.departure = cart.departure + 0.01
+            batch = export_traces([root])
+            live[0].ingest_traces(batch)
+            journal.record("traces", live[0].now, batch)
+            record = live[0].tick(now=float(step))
+            journal.record("tick", record.time)
+    journal.close()
+    assert journal.compactions > 0 and converted[-1] == 1
+
+    base = tmp_path / "journal.jsonl"
+    (checkpoint,) = [entry for entry in read_journal(base)
+                     if entry.kind == "checkpoint"]
+    state = json.loads(checkpoint.body)["state"]
+    assert state["version"] == 1 and "processing" not in state
+    assert state["budgets"]
+    ok, detail = verify_chain(base)
+    assert ok, detail
+
+    decisions = tmp_path / "decisions.jsonl"
+    decisions.write_text(live[0].decisions_jsonl(), encoding="utf-8")
+    assert main(["service", "replay", "--journal", str(base),
+                 "--decisions", str(decisions), "--decide-top-k", "0",
+                 "--min-samples", "8", "--min-distinct", "4",
+                 "--exclude", ""]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+
+
+def test_restore_rejects_unknown_checkpoint_version():
+    state = ControlPlane(rotation_config()).checkpoint()
+    state["version"] = 3
+    with pytest.raises(ValueError, match="unsupported checkpoint"):
+        ControlPlane(rotation_config()).restore(state)
